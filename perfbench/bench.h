@@ -86,8 +86,8 @@ class Repeats {
   int done_ = 0;
 };
 
-/// Set-up runs at least 5 times and for at least a second.
-inline Repeats SetupRepeats() { return Repeats(5, 1.0); }
+/// One set-up window: at least 5 set-ups and at least 0.25 s.
+inline Repeats SetupRepeats() { return Repeats(5, 0.25); }
 
 /// Runs `check` at least once and for at least 0.5 s, appends the wall
 /// time of each run in ms to `samples`, and returns the last result.
@@ -176,19 +176,30 @@ class Tracer {
 
   /// Runs `fn` as one call into a layer: a child span of `parent`, with
   /// its wall time, instructions and minor faults charged to `totals`.
+  /// The span covers `fn` alone; the bookkeeping around it (the span
+  /// record and the counter and fault reads) is timed into overhead_ms().
   template <typename Fn>
   auto Call(LayerTotals& totals, const char* name, std::uint64_t instance,
             long parent, Fn&& fn) {
+    const double entered = Now();
     const long span = Open(name, instance, parent);
     const std::uint64_t faults = ThreadMinorFaults();
     const std::uint64_t instructions = counter_.Read();
+    const double start = Now();
     auto result = fn();
+    const double end = Now();
     totals.instructions += counter_.Read() - instructions;
     totals.minflt += ThreadMinorFaults() - faults;
-    totals.ms += Close(span);
+    spans_[span].start_ms = start;
+    spans_[span].end_ms = end;
+    totals.ms += end - start;
     ++totals.calls;
+    overhead_ms_ += (start - entered) + (Now() - end);
     return result;
   }
+
+  /// Wall time the tracer spent on its own bookkeeping in Call().
+  double overhead_ms() const { return overhead_ms_; }
 
   /// Writes one JSON object per span and line; false on I/O failure.
   bool Write(const std::string& path) const;
@@ -199,6 +210,7 @@ class Tracer {
   InstructionCounter& counter_;
   Clock::time_point origin_;
   std::vector<Span> spans_;
+  double overhead_ms_ = 0;
 };
 
 /// The workload entry point: fills `report` for the mode in `config`

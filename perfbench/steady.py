@@ -11,8 +11,8 @@ Each run uses another seed (first-seed, first-seed + 1, ...). For every
 end-to-end metric of BENCHMARK.json it prints the median, the first and
 third quartiles (statistics.quantiles(values, n=4)), the spread
 (Q3 - Q1) / median, and that spread as a share of the metric's bound.
-A spread above the bound fails the check (setup_s is reported but
-exempt); the aim is a spread below a third of the bound. With
+A spread above the bound fails the check; the aim is a spread below a
+third of the bound. With
 --against, it also compares each median with the one saved earlier and
 fails when a metric got worse by more than its bound.
 """
@@ -83,9 +83,7 @@ def main():
             share = s / m["bound"]
             verdict = "" if share <= 1 / 3 else ("  above a third" if share <= 1
                                                  else "  ABOVE BOUND")
-            if m["name"] == "setup_s":
-                verdict += " (exempt)"
-            elif share > 1:
+            if share > 1:
                 ok = False
             line = (f"  {m['name']:<15}{median:>14.6g}{q1:>14.6g}{q3:>14.6g}"
                     f"{s:>9.2%}{m['bound']:>7.2f}{share:>8.2f}{verdict}")
